@@ -8,7 +8,7 @@ The repo's layers, bottom to top::
 with the kernel/service split (PR 9) threaded through the middle:
 ``repro.kernel`` sits *between* the sim state layers and the drivers —
 it may import the state layers it absorbed (lock table, waits-for,
-deadlock, admission, live, metrics, event log, executor) but never the
+deadlock, admission, live, metrics, event log) but never the
 drivers above it (``sim.scheduler``, ``sim.runner``, ``sim.grid``) nor
 the reference oracle; ``repro.service`` is a front-end that imports
 **only** the kernel (plus ``repro.policies`` for the admission seam) —

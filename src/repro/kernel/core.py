@@ -11,7 +11,7 @@ requests::
     commit(txn)                  -> GRANTED | ERROR
     abort(txn)                   -> GRANTED | ERROR
 
-built from the same state layers the simulator runs on — the sharded
+built from the same state layers the simulator runs on — the
 :class:`~repro.sim.lock_table.LockTable` for holder maps and wait
 queues, the :mod:`~repro.sim.deadlock` oracle (``find_cycle`` +
 ``pick_victim``) for resolution — with **no tick, no RNG, and no
@@ -114,12 +114,11 @@ class LockKernel:
     def __init__(
         self,
         *,
-        lock_shards: int = 1,
         audit: Optional[AuditLog] = None,
         admission_hook: Optional[AdmissionHook] = None,
         max_live: int = 0,
     ) -> None:
-        self.table = LockTable(shards=lock_shards)
+        self.table = LockTable()
         self.audit = audit if audit is not None else AuditLog()
         self.admission_hook = admission_hook
         #: Admission control: refuse ``begin`` beyond this many live

@@ -1,7 +1,7 @@
 """The transaction-lifecycle state machine shared by every driver.
 
 :class:`KernelRun` is the kernel half of the old ``sim/scheduler.py``
-``_Run`` monolith: it composes the state layers — the sharded
+``_Run`` monolith: it composes the state layers — the
 :class:`~repro.sim.lock_table.LockTable`, the always-fresh
 :class:`~repro.sim.waits_for.WaitsForGraph`, the
 :class:`~repro.sim.admission.AdmissionCache`/``Classifier`` pair, the
@@ -14,8 +14,8 @@ abort/restart.  What it deliberately does **not** own is any notion of
 Two drivers sit on top:
 
 * the tick simulator (``repro.sim.scheduler._Run`` subclasses this and
-  adds the seeded per-tick loop, batched arrivals, and the phase
-  pipeline) — proven byte-identical to the pre-split engine by the
+  adds the seeded per-tick loop, batched arrivals, and the four tick
+  phases) — proven byte-identical to the pre-split engine by the
   standing naive/event equivalence suites; and
 * the request-driven service kernel (:mod:`repro.kernel.core`), which
   exposes the tick-free ``begin/acquire/release/commit/abort`` API the
@@ -23,10 +23,9 @@ Two drivers sit on top:
 
 Layering (lint rule RPR003): this package may import the state layers it
 absorbs (``sim/lock_table``, ``sim/admission``, ``sim/waits_for``,
-``sim/deadlock``, ``sim/live``, ``sim/metrics``, ``sim/event_log``,
-``sim/executor``) but never the drivers above it (``sim/scheduler``,
-``sim/runner``, ``sim/grid``) — the kernel must stay reusable by any
-front-end.
+``sim/deadlock``, ``sim/live``, ``sim/metrics``, ``sim/event_log``) but
+never the drivers above it (``sim/scheduler``, ``sim/runner``,
+``sim/grid``) — the kernel must stay reusable by any front-end.
 """
 
 from __future__ import annotations
@@ -38,11 +37,9 @@ from ..exceptions import PolicyViolation
 from ..policies.base import Intent, PolicyContext, PolicySession
 from ..sim.admission import AdmissionCache, Classifier
 from ..sim.event_log import EventLog
-from ..sim.executor import make_executor
 from ..sim.live import LiveEntry
 from ..sim.lock_table import LockTable
 from ..sim.metrics import Metrics
-
 from ..sim.waits_for import WaitsForGraph
 
 
@@ -60,29 +57,19 @@ class KernelRun:
         *,
         metrics: Optional[Metrics] = None,
         max_restarts: int = 10,
-        lock_shards: int = 1,
-        shard_workers: int = 0,
-        executor_kind: str = "thread",
         event_engine: bool = True,
     ):
         self.context = context
         self.max_restarts = max_restarts
         self.event_engine = event_engine
         self.metrics = metrics if metrics is not None else Metrics()
-        self.table = LockTable(shards=lock_shards)
+        self.table = LockTable()
         self.graph = WaitsForGraph()
         self.live: Dict[str, LiveEntry] = {}
         self.cache = AdmissionCache(self.live, self.metrics)
         self.classifier = Classifier(
             self.live, self.metrics, self.table, self.graph, self.cache
         )
-        #: The classify-phase executor (serial reference, thread-pool
-        #: fan-out, or replica-owning worker processes over shard slices;
-        #: see :mod:`repro.sim.executor`).  ``bind_table`` lets the
-        #: process executor switch on the table's delta tracking before
-        #: any lock is granted.
-        self.executor = make_executor(shard_workers, kind=executor_kind)
-        self.executor.bind_table(self.table)
         self.log = EventLog()
         self.committed: List[str] = []
         self.dropped: List[str] = []

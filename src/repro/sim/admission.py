@@ -7,8 +7,8 @@ that can change it occurs.  :class:`AdmissionCache` owns the state that
 decides *who gets re-examined when*:
 
 * ``dirty`` — sessions whose cached classification must be re-derived on
-  the next tick (woken waiters, invalidated watchers, executors, fresh
-  admissions, channel-notification hits);
+  the next tick (woken waiters, invalidated watchers, sessions that just
+  executed a step, fresh admissions, channel-notification hits);
 * ``dynamic`` — live dynamic sessions that declare no invalidation
   dependencies: the conservative fallback, re-examined every tick;
 * ``complete`` — non-dynamic sessions whose script drained (commit next
@@ -32,94 +32,28 @@ Phase-2 loop) against the lock table and the waits-for graph, maintains
 the lazy blocked-tick accounting around cache hits, and keeps blocked
 waiters' waits-for edges fresh across grants and grantability-filtered
 releases without re-classifying them.
-
-The classification itself is split into two halves so the phase pipeline
-(:mod:`repro.sim.executor`) can fan it out over shard-local work sets:
-
-* :meth:`Classifier.derive` — the *pure read* half: peek the pending
-  step, evaluate the admission verdict, query the lock table's holder
-  maps, and package the outcome as a :class:`Decision` without mutating
-  any scheduler state.  During the classify phase the holder maps and the
-  live table are frozen (no acquire/release/commit happens mid-phase), so
-  derivations of distinct sessions are independent and may run
-  concurrently on shard workers.
-* :meth:`Classifier.apply` — the *mutating* half: install a derived
-  decision (accounting, counters, waiter queues, waits-for edges,
-  watcher/runnable routing) in exactly the legacy interleaved order's
-  mutation sequence.  Applies always run on the coordinator thread, at
-  the executor's merge barrier, in shard-index order.
-
-:meth:`Classifier.classify` remains the serial composition of the two —
-``apply(entry, derive(entry))`` — and is the byte-identical reference the
-parallel executor is equivalence-tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from ..core.operations import LockMode
 from ..core.steps import Entity
-from ..policies.base import Admission, PolicySession
+from ..policies.base import Admission
 from .lock_table import LockTable
 from .live import LOCK_WAIT, NEW, POLICY_WAIT, RUNNABLE, LiveEntry
-from .metrics import Metrics, TxnRecord
+from .metrics import Metrics
 from .waits_for import WaitsForGraph
 
-#: Decision kind for a phase-2 policy abort (not a LiveEntry state — the
-#: session never re-enters the cache; the scheduler aborts it after the
-#: classify phase, in decision order).
-ABORT = "abort"
-
 __all__ = [
-    "ABORT",
     "AdmissionCache",
     "Classifier",
-    "Decision",
     "LiveEntry",
     "NEW",
     "RUNNABLE",
     "LOCK_WAIT",
     "POLICY_WAIT",
 ]
-
-
-@dataclass
-class Decision:
-    """The pure outcome of one classification derivation — everything
-    :meth:`Classifier.apply` needs to install the new state, and nothing
-    else.  Produced by :meth:`Classifier.derive` (possibly on a shard
-    worker), buffered per shard, applied at the merge barrier."""
-
-    name: str
-    #: One of RUNNABLE / LOCK_WAIT / POLICY_WAIT / ABORT.
-    kind: str
-    #: Abort reason (ABORT decisions only).
-    reason: Optional[str] = None
-    #: Waits-for edges to install (wait decisions only).
-    edges: Optional[Set[str]] = None
-    #: Pending lock's entity (LOCK_WAIT waiter queue / RUNNABLE watch).
-    entity: Optional[Entity] = None
-    #: Requested lock mode (LOCK_WAIT only).
-    mode: Optional[LockMode] = None
-    #: RUNNABLE with a pending lock: watch the entity for invalidation.
-    watch: bool = False
-    #: Invalidation channels to (re-)subscribe (dependency-declaring
-    #: sessions only; ``None`` means "leave subscriptions alone").
-    subscribe: Optional[Tuple[Hashable, ...]] = None
-    #: Which work counters this derivation must be credited for.
-    admission_checked: bool = False
-    blockers_queried: bool = False
 
 
 class AdmissionCache:
@@ -272,96 +206,6 @@ class AdmissionCache:
         self.dirty.clear()
         return sorted(check)
 
-    # ------------------------------------------------------------------
-    # Shard-local slices (phase pipeline)
-    # ------------------------------------------------------------------
-
-    def route(
-        self, name: str, shard_of: Callable[[Entity], int]
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """``(shard, spill_cause)`` for ``name``'s classification: which
-        shard slice it belongs to (``shard`` is ``None`` for the global
-        slice, in which case ``spill_cause`` names why).  Routing rules,
-        in order:
-
-        * a dependency-declaring session whose declared invalidation
-          channels all hash to one shard routes there (its verdict can
-          only flip on events homed on that shard); channels spanning
-          shards spill with cause ``"dynamic"``;
-        * everyone else — including admission-needing sessions, whose
-          ``admission()`` call is a pure read of shared policy context
-          (proven transitively by lint rule RPR007), so the derive half
-          may run on any worker — routes to its pending step's entity
-          shard: a lock derivation reads only that shard's holder map,
-          every other derivation reads nothing;
-        * only genuinely entity-less work remains coordinator-bound
-          (cause ``"admission"`` / ``"entity_less"``).
-
-        Routing happens at drain time, never cached: the pending step
-        advances between ticks, so a stored shard hint would go stale."""
-        entry = self._live.get(name)
-        if entry is None:
-            return None, "entity_less"
-        if entry.tracks_deps:
-            deps = entry.session.admission_dependencies()
-            channels = tuple(deps) if deps is not None else ()
-            homes = {shard_of(ch) for ch in channels}
-            if len(homes) == 1:
-                return min(homes), None
-            if homes:
-                return None, "dynamic"
-            # Declared nothing: the verdict is step-local, so the pending
-            # entity's shard is as good a home as any.
-        step = entry.session.peek()
-        if step is None or step.entity is None:
-            cause = "admission" if entry.needs_admission else "entity_less"
-            return None, cause
-        return shard_of(step.entity), None
-
-    def take_check_slices(
-        self, shard_of: Callable[[Entity], int], shards: int
-    ) -> Tuple[List[List[str]], List[str], Dict[str, int]]:
-        """:meth:`take_check_set` partitioned into shard-local slices, the
-        global slice, and this tick's per-cause spill tally (see
-        :meth:`route`).  Each slice preserves the sorted order of the
-        merged set, so the serial executor's sorted merge of all slices
-        reproduces the legacy check sequence exactly."""
-        slices: List[List[str]] = [[] for _ in range(shards)]
-        global_slice: List[str] = []
-        spill: Dict[str, int] = {}
-        for n in self.take_check_set():
-            s, cause = self.route(n, shard_of)
-            if s is None:
-                global_slice.append(n)
-                spill[cause] = spill.get(cause, 0) + 1
-            else:
-                slices[s].append(n)
-        return slices, global_slice, spill
-
-    def runnable_slices(
-        self, shard_of: Callable[[Entity], int], shards: int
-    ) -> Tuple[List[List[str]], List[str]]:
-        """The runnable set partitioned the same way (introspection for
-        the partition-invariant property tests; phase 3 itself picks from
-        the merged sorted set)."""
-        slices: List[List[str]] = [[] for _ in range(shards)]
-        global_slice: List[str] = []
-        for n in sorted(self.runnable):
-            s, _ = self.route(n, shard_of)
-            (global_slice if s is None else slices[s]).append(n)
-        return slices, global_slice
-
-    def watcher_slices(
-        self, shard_of: Callable[[Entity], int], shards: int
-    ) -> List[Set[str]]:
-        """Watcher names grouped by their watched entity's shard — every
-        watcher set is keyed by a single entity, so each lands wholly in
-        one shard slice (no global spill for watchers)."""
-        slices: List[Set[str]] = [set() for _ in range(shards)]
-        for entity, names in self.watchers.items():  # repro: noqa[RPR001] set-union buckets; order-insensitive
-            slices[shard_of(entity)].update(names)
-        return slices
-
 
 class Classifier:
     """Re-derives cached classifications against the sibling layers (lock
@@ -420,126 +264,6 @@ class Classifier:
             entry.watch_entity = None
         entry.state = NEW
 
-    def derive(self, entry: LiveEntry) -> Decision:
-        """The pure-read half of a classification: one iteration of the
-        naive Phase-2 loop with every mutation replaced by a field of the
-        returned :class:`Decision`.  Reads the session's pending step, the
-        policy verdict (a pure read of shared policy context, so admission
-        sessions may derive on thread workers too; the process executor
-        keeps them on the coordinator because the context is not
-        replicated), the lock table's holder map for the pending entity,
-        and the live table; during the classify phase all of these are
-        frozen, so derivations of distinct sessions commute and may run on
-        shard workers.  Lint rule RPR007 verifies the purity claim
-        transitively: every write or mutation reachable from ``derive``
-        through the whole-program call graph is a finding."""
-        name = entry.item.name
-        step = entry.session.peek()
-        assert step is not None
-        subscribe: Optional[Tuple[Hashable, ...]] = None
-        if entry.tracks_deps:
-            deps = entry.session.admission_dependencies()
-            subscribe = tuple(deps) if deps is not None else ()
-        admission_checked = False
-        if entry.needs_admission:
-            admission_checked = True
-            verdict = entry.session.admission()
-            if verdict.verdict is Admission.ABORT:
-                return Decision(
-                    name,
-                    ABORT,
-                    reason=verdict.reason or "policy violation",
-                    subscribe=subscribe,
-                    admission_checked=True,
-                )
-            if verdict.verdict is Admission.WAIT:
-                return Decision(
-                    name,
-                    POLICY_WAIT,
-                    edges={w for w in verdict.waiting_on if w in self.live},
-                    subscribe=subscribe,
-                    admission_checked=True,
-                )
-        mode = step.lock_mode
-        if step.is_lock and mode is not None:
-            blockers = self.table.blockers(name, step.entity, mode)
-            if blockers:
-                return Decision(
-                    name,
-                    LOCK_WAIT,
-                    edges={b for b in blockers if b in self.live},
-                    entity=step.entity,
-                    mode=mode,
-                    subscribe=subscribe,
-                    admission_checked=admission_checked,
-                    blockers_queried=True,
-                )
-            # Runnable with a pending lock: watch the entity so a concurrent
-            # acquire invalidates this classification.
-            return Decision(
-                name,
-                RUNNABLE,
-                entity=step.entity,
-                watch=True,
-                subscribe=subscribe,
-                admission_checked=admission_checked,
-                blockers_queried=True,
-            )
-        return Decision(
-            name,
-            RUNNABLE,
-            subscribe=subscribe,
-            admission_checked=admission_checked,
-        )
-
-    def apply(
-        self,
-        entry: LiveEntry,
-        decision: Decision,
-        aborts: List[Tuple[LiveEntry, str]],
-    ) -> None:
-        """Install a derived decision — the mutating half of a
-        classification, replaying the legacy interleaved sequence's
-        mutation order exactly (lazy accounting, clear, counters,
-        re-subscription, then the per-kind transition).  Coordinator
-        thread only; the executor calls it at the merge barrier in
-        shard-index order."""
-        m = self.metrics
-        name = entry.item.name
-        now = m.ticks
-        self.accrue(entry, now - 1)
-        self.clear(entry)
-        m.classify_checks += 1
-        if decision.subscribe is not None:
-            self.cache.subscribe(name, decision.subscribe)
-        if decision.admission_checked:
-            m.admission_checks += 1
-        if decision.blockers_queried:
-            m.blocker_queries += 1
-        if decision.kind == ABORT:
-            aborts.append((entry, decision.reason or "policy violation"))
-            return
-        if decision.kind == POLICY_WAIT:
-            m.accrue_blocked(entry.record, False, 1)
-            entry.state = POLICY_WAIT
-            entry.accrued_to = now
-            self.graph.set_edges(name, decision.edges or set())
-            return
-        if decision.kind == LOCK_WAIT:
-            m.accrue_blocked(entry.record, True, 1)
-            entry.state = LOCK_WAIT
-            entry.accrued_to = now
-            assert decision.entity is not None and decision.mode is not None
-            self.table.add_waiter(name, decision.entity, decision.mode)
-            self.graph.set_edges(name, decision.edges or set())
-            return
-        if decision.watch:
-            assert decision.entity is not None
-            self.cache.watch(decision.entity, name)
-            entry.watch_entity = decision.entity
-        entry.state = RUNNABLE
-        self.cache.runnable.add(name)
-
     def classify(
         self, entry: LiveEntry, aborts: List[Tuple[LiveEntry, str]]
     ) -> None:
@@ -548,10 +272,64 @@ class Classifier:
         since the previous classification (during which the session
         necessarily sat in the same blocked state — nothing that could
         have changed it happened, or it would have been re-examined
-        sooner).  Serial composition of :meth:`derive` and :meth:`apply`
-        — the byte-identical reference sequence the parallel executor is
-        equivalence-tested against."""
-        self.apply(entry, self.derive(entry), aborts)
+        sooner).  A policy abort is appended to ``aborts``; the caller
+        performs it after the whole check set is classified.
+
+        Every read (pending step, declared dependencies, policy verdict,
+        the pending entity's holders) happens before the first mutation
+        (accounting, teardown, counters, re-subscription, the new
+        state)."""
+        m = self.metrics
+        name = entry.item.name
+        session = entry.session
+        step = session.peek()
+        assert step is not None
+        channels: Optional[Tuple[Hashable, ...]] = None
+        if entry.tracks_deps:
+            deps = session.admission_dependencies()
+            channels = tuple(deps) if deps is not None else ()
+        verdict = session.admission() if entry.needs_admission else None
+        admitted = verdict is None or verdict.verdict is Admission.PROCEED
+        mode = step.lock_mode
+        blockers: Optional[List[str]] = None
+        if admitted and step.is_lock and mode is not None:
+            blockers = self.table.blockers(name, step.entity, mode)
+
+        now = m.ticks
+        self.accrue(entry, now - 1)
+        self.clear(entry)
+        m.classify_checks += 1
+        if channels is not None:
+            self.cache.subscribe(name, channels)
+        if verdict is not None:
+            m.admission_checks += 1
+        if blockers is not None:
+            m.blocker_queries += 1
+        if verdict is not None and verdict.verdict is Admission.ABORT:
+            aborts.append((entry, verdict.reason or "policy violation"))
+            return
+        if verdict is not None and verdict.verdict is Admission.WAIT:
+            m.accrue_blocked(entry.record, False, 1)
+            entry.state = POLICY_WAIT
+            entry.accrued_to = now
+            self.graph.set_edges(
+                name, {w for w in verdict.waiting_on if w in self.live}
+            )
+            return
+        if blockers:
+            m.accrue_blocked(entry.record, True, 1)
+            entry.state = LOCK_WAIT
+            entry.accrued_to = now
+            self.table.add_waiter(name, step.entity, mode)
+            self.graph.set_edges(name, {b for b in blockers if b in self.live})
+            return
+        if blockers is not None:
+            # Runnable with a pending lock: watch the entity so a
+            # concurrent acquire invalidates this classification.
+            self.cache.watch(step.entity, name)
+            entry.watch_entity = step.entity
+        entry.state = RUNNABLE
+        self.cache.runnable.add(name)
 
     # ------------------------------------------------------------------
     # Lock-wait edge maintenance (no re-classification)

@@ -88,16 +88,6 @@ class GridSpec:
     engine: str = "event"
     max_ticks: int = 200_000
     check_serializability: bool = True
-    #: Lock-table shard count for every seed-run (any count produces
-    #: byte-identical rows; 1 is the single-partition reference).
-    lock_shards: int = 1
-    #: Classify-phase shard workers per seed-run (0 = serial reference;
-    #: any count produces byte-identical rows; event engine only).
-    shard_workers: int = 0
-    #: Classify-phase executor kind when ``shard_workers >= 1``
-    #: ("serial" / "thread" / "process"; any kind produces byte-identical
-    #: rows — see :func:`repro.sim.executor.make_executor`).
-    executor: str = "thread"
     pairs: Optional[Tuple[Tuple[PolicySpec, WorkloadSpec], ...]] = None
 
     def cells(self) -> List[Tuple[PolicySpec, WorkloadSpec]]:
@@ -119,9 +109,6 @@ class _SeedTask:
     engine: str
     max_ticks: int
     check_serializability: bool
-    lock_shards: int = 1
-    shard_workers: int = 0
-    executor: str = "thread"
 
 
 def _run_task(task: _SeedTask) -> Tuple[int, int, SeedOutcome]:
@@ -134,9 +121,6 @@ def _run_task(task: _SeedTask) -> Tuple[int, int, SeedOutcome]:
         max_ticks=task.max_ticks,
         check_serializability=task.check_serializability,
         engine=task.engine,
-        lock_shards=task.lock_shards,
-        shard_workers=task.shard_workers,
-        executor=task.executor,
     )
     return task.cell, task.slot, outcome
 
@@ -194,9 +178,6 @@ def run_grid(
             cell=ci, slot=si, policy=p, workload=w, seed=seed,
             engine=spec.engine, max_ticks=spec.max_ticks,
             check_serializability=spec.check_serializability,
-            lock_shards=spec.lock_shards,
-            shard_workers=spec.shard_workers,
-            executor=spec.executor,
         )
         for ci, (p, w) in enumerate(cells)
         for si, seed in enumerate(seeds)

@@ -126,17 +126,12 @@ def run_seed(
     max_ticks: int = 200_000,
     check_serializability: bool = True,
     engine: str = "event",
-    lock_shards: int = 1,
-    shard_workers: int = 0,
-    executor: str = "thread",
 ) -> SeedOutcome:
     """Run one seeded instance of a cell and reduce it to a
     :class:`SeedOutcome` (the unit of work the grid runner fans out)."""
     sim = Simulator(
         policy, seed=seed, max_ticks=max_ticks,
         context_kwargs=context_kwargs or {}, engine=engine,
-        lock_shards=lock_shards, shard_workers=shard_workers,
-        executor=executor,
     )
     try:
         result = sim.run(items, initial)
@@ -211,9 +206,6 @@ def run_cell(
     max_ticks: int = 200_000,
     check_serializability: bool = True,
     engine: str = "event",
-    lock_shards: int = 1,
-    shard_workers: int = 0,
-    executor: str = "thread",
 ) -> CellResult:
     """Run one policy over several seeded instances of a workload, serially
     in this process.
@@ -230,8 +222,6 @@ def run_cell(
             policy, items, initial, seed,
             context_kwargs=kwargs, max_ticks=max_ticks,
             check_serializability=check_serializability, engine=engine,
-            lock_shards=lock_shards, shard_workers=shard_workers,
-            executor=executor,
         ))
     return aggregate_outcomes(
         policy.name, workload_name, outcomes, check_serializability

@@ -33,42 +33,25 @@ class TestPresets:
     def test_registry_covers_the_documented_grids(self):
         assert set(bench.PRESETS) == {
             "stress", "deadlock", "traversal", "mega_stress",
-            "mega_stress_50k",
         }
 
     def test_special_benches_registered_and_listed(self, capsys):
-        assert set(bench.SPECIAL_BENCHES) == {"parallel_shards", "service"}
+        assert set(bench.SPECIAL_BENCHES) == {"service"}
         assert bench.main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "parallel_shards" in out
         assert "service" in out
 
     def test_mega_stress_shape(self):
         spec = bench.PRESETS["mega_stress"](1.0)
         (workload,) = spec.workloads
         assert workload.kwargs["num_txns"] >= 5000
-        assert spec.lock_shards > 1
         assert not spec.check_serializability
         scaled = bench.PRESETS["mega_stress"](0.02)
         assert scaled.workloads[0].kwargs["num_txns"] < 5000
 
-    def test_mega_stress_50k_shape(self):
-        spec = bench.PRESETS["mega_stress_50k"](1.0)
-        (workload,) = spec.workloads
-        assert workload.kwargs["num_txns"] == 50_000
-        assert workload.kwargs["arrival_rate"] < 1.0  # staggered arrivals
-        assert spec.lock_shards > 1
-        assert not spec.check_serializability
-
     def test_scale_shrinks_with_floor(self):
         spec = bench.PRESETS["stress"](0.0001)
         assert spec.workloads[0].kwargs["num_txns"] == 50
-
-    def test_shards_flag_overrides_spec(self):
-        args = bench.build_parser().parse_args(
-            ["mega_stress", "--shards", "4"]
-        )
-        assert args.shards == 4
 
     def test_parser_accepts_engine_and_workers(self):
         args = bench.build_parser().parse_args(
@@ -79,11 +62,10 @@ class TestPresets:
 
 
 class TestArgValidation:
-    """Explicit ``--workers``/``--seeds`` below 1 are parse-time errors
-    (the same ``_positive_int`` treatment ``--shards`` already gets);
+    """Explicit ``--workers``/``--seeds`` below 1 are parse-time errors;
     omitting ``--workers`` still selects the in-process reference path."""
 
-    @pytest.mark.parametrize("flag", ["--workers", "--seeds", "--shards"])
+    @pytest.mark.parametrize("flag", ["--workers", "--seeds"])
     @pytest.mark.parametrize("value", ["0", "-1", "-8"])
     def test_non_positive_values_rejected_at_parse_time(
         self, capsys, flag, value
@@ -120,41 +102,8 @@ class TestArgValidation:
         args = bench.build_parser().parse_args(["stress", "--scale", "0.05"])
         assert args.scale == 0.05
 
-    def test_shard_workers_zero_is_explicit_serial(self):
-        # 0 is meaningful (force the serial executor / filter the sweep
-        # to serial rows), so --shard-workers gets the non-negative
-        # validator, not the >= 1 one.
-        args = bench.build_parser().parse_args(
-            ["stress", "--shard-workers", "0"]
-        )
-        assert args.shard_workers == 0
 
-    def test_negative_shard_workers_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            bench.build_parser().parse_args(
-                ["stress", "--shard-workers", "-1"]
-            )
-        assert exc.value.code == 2
-        assert "must be >= 0" in capsys.readouterr().err
-
-    def test_shard_workers_default_is_unset(self):
-        # None (not 0) so parallel_shards can tell "sweep everything"
-        # apart from "serial only".
-        args = bench.build_parser().parse_args(["stress"])
-        assert args.shard_workers is None
-
-    def test_executor_flag_parses_and_defaults_unset(self):
-        args = bench.build_parser().parse_args(["stress"])
-        assert args.executor is None
-        args = bench.build_parser().parse_args(
-            ["stress", "--executor", "process"]
-        )
-        assert args.executor == "process"
-        with pytest.raises(SystemExit):
-            bench.build_parser().parse_args(["stress", "--executor", "gpu"])
-
-
-def _artifact(tmp_path, name, rows, *, bench_name="parallel_shards",
+def _artifact(tmp_path, name, rows, *, bench_name="service_stress",
               wall_s=10.0, schema=1):
     doc = {
         "bench": bench_name,
@@ -169,11 +118,9 @@ def _artifact(tmp_path, name, rows, *, bench_name="parallel_shards",
     return str(path)
 
 
-def _row(shards=4, workers=2, executor="thread", wall_s=1.0, **extra):
+def _row(case="all", wall_s=1.0, **extra):
     row = {
-        "shards": shards,
-        "shard_workers": workers,
-        "executor": executor,
+        "case": case,
         "wall_s": wall_s,
         "committed": 100,
         "work": {"classify_checks": 500},
@@ -241,19 +188,19 @@ class TestCompare:
         assert "mismatch" in capsys.readouterr().out
 
     def test_row_identity_mismatch_is_a_usage_failure(self, tmp_path, capsys):
-        old = _artifact(tmp_path, "old.json", [_row(executor="thread")])
-        new = _artifact(tmp_path, "new.json", [_row(executor="process")])
+        old = _artifact(tmp_path, "old.json", [_row(case="acquire")])
+        new = _artifact(tmp_path, "new.json", [_row(case="commit")])
         assert bench.main(["--compare", old, new]) == 2
         assert "identity" in capsys.readouterr().out
 
     def test_row_count_mismatch_is_a_usage_failure(self, tmp_path, capsys):
-        old = _artifact(tmp_path, "old.json", [_row(), _row(shards=8)])
+        old = _artifact(tmp_path, "old.json", [_row(), _row(case="commit")])
         new = _artifact(tmp_path, "new.json", [_row()])
         assert bench.main(["--compare", old, new]) == 2
         assert "row count" in capsys.readouterr().out
 
     def test_one_sided_keys_are_skipped_not_fatal(self, tmp_path, capsys):
-        old = _artifact(tmp_path, "old.json", [_row(spill_fraction=0.1)])
+        old = _artifact(tmp_path, "old.json", [_row(p99_ms=0.1)])
         new = _artifact(tmp_path, "new.json", [_row()])
         assert bench.main(["--compare", old, new]) == 0
         assert "skipped" in capsys.readouterr().out
