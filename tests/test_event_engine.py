@@ -402,14 +402,6 @@ class TestWaitQueues:
         t.acquire("T1", "a", LockMode.SHARED)
         assert t.release("T1", "a", LockMode.EXCLUSIVE) == ["T2"]
 
-    def test_upgrade_release_semantics(self):
-        t = LockTable()
-        t.acquire("T1", "a", LockMode.SHARED)
-        t.acquire("T1", "a", LockMode.EXCLUSIVE)
-        t.add_waiter("T2", "a", LockMode.SHARED)
-        assert t.release("T1", "a", LockMode.SHARED) == []
-        assert t.release("T1", "a", LockMode.EXCLUSIVE) == ["T2"]
-
     def test_still_conflicting_waiter_not_woken(self):
         # T1's departure weakens the holder set, but the EXCLUSIVE waiter
         # still conflicts with T2's SHARED hold: waking it was a pure

@@ -79,6 +79,21 @@ class TestRuleFixtures:
         assert "wall-clock read" in messages
         assert "id()" in messages
 
+    def test_rpr004_in_tree_executor_seam_is_clean(self):
+        """The real process seam — ``run_grid``'s spawn pool and the grid
+        specs built for it — ships module-level payloads only, and the
+        asyncio service's dict-literal ``conn.send`` frames are no grid
+        payload: RPR004 flags none of them, with no baseline."""
+        for rel in (
+            ("src", "repro", "sim", "grid.py"),
+            ("src", "repro", "bench.py"),
+            ("src", "repro", "service", "server.py"),
+        ):
+            path = os.path.join(REPO_ROOT, *rel)
+            assert os.path.exists(path), path
+            findings = [f for f in analyze_file(path) if f.code == "RPR004"]
+            assert findings == [], f"{path}: {findings}"
+
     def test_registry_has_exactly_the_documented_rules(self):
         assert set(all_rules()) == set(RULE_CODES)
 
